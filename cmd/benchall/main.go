@@ -212,7 +212,7 @@ func interpFastpath(s *experiments.Suite, outDir string, write func(string, *rep
 // × lane count).
 func batchSweep(s *experiments.Suite, outDir string, write func(string, *report.Table)) {
 	step("lane batching (real batch vs solo lane-cycles/sec)")
-	points := s.BatchSweep([]int{1, 4, 16, 64}, 1000)
+	points := s.BatchSweep([]int{1, 4, 16}, 1000)
 	write("batch_sweep", experiments.BatchTable(points))
 	data, err := experiments.BatchJSON(points)
 	if err != nil {

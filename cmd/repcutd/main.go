@@ -50,7 +50,7 @@ func main() {
 		maxComp    = flag.Int("max-compiles", 0, "concurrent compile admission limit (503 beyond; 0 = NumCPU)")
 		idle       = flag.Duration("idle-timeout", 2*time.Minute, "reap sessions idle longer than this")
 		workers    = flag.Int("workers", 0, "per-compile worker bound (0 = all cores)")
-		batchLanes = flag.Int("batch-lanes", 16, "lane width of the batched execution tier (1 disables batching)")
+		batchLanes = flag.Int("batch-lanes", 16, "lane width of the batched execution tier, max 16 (1 disables batching)")
 		cgOn       = flag.Bool("codegen", false, "enable the native build-behind tier: compile-cache misses build plugin kernels asynchronously and sessions hot-swap onto them")
 		cgDir      = flag.String("codegen-dir", "", "native artifact store directory (empty = per-user default under the temp dir)")
 		cgBytes    = flag.Int64("codegen-bytes", 0, "native artifact store disk byte budget (0 = 1 GiB)")

@@ -3,8 +3,10 @@ package designs
 import (
 	"testing"
 
+	"repro/internal/cgraph"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/firrtl"
 	"repro/internal/sim"
 )
 
@@ -174,5 +176,49 @@ func TestReplicationTrendAcrossSizes(t *testing.T) {
 	if rb.ReplicationCost >= rs.ReplicationCost {
 		t.Errorf("MegaBOOM-4C replication (%.2f%%) should be below RocketChip-1C (%.2f%%) at k=%d",
 			100*rb.ReplicationCost, 100*rs.ReplicationCost, k)
+	}
+}
+
+// Every built-in design survives the textual round trip: its printed IR
+// parses back, and the parsed circuit elaborates and compiles to the same
+// program (fingerprint) that simulates to the same state (state hash) as
+// the in-memory circuit.
+func TestPrintedDesignsRoundTrip(t *testing.T) {
+	compile := func(c *firrtl.Circuit) *sim.Program {
+		t.Helper()
+		fc, err := firrtl.Flatten(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc, err := firrtl.Lower(fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := cgraph.Build(lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, cfg := range Table1(1.0) {
+		circ := BuildCircuit(cfg)
+		parsed, err := firrtl.Parse(firrtl.Print(circ))
+		if err != nil {
+			t.Fatalf("%s: printed IR does not parse: %v", cfg.Name(), err)
+		}
+		want, got := compile(circ), compile(parsed)
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: fingerprint %x after round trip, want %x", cfg.Name(), got.Fingerprint(), want.Fingerprint())
+		}
+		ew, eg := sim.NewEngine(want), sim.NewEngine(got)
+		ew.Run(100)
+		eg.Run(100)
+		if eg.StateHash() != ew.StateHash() {
+			t.Errorf("%s: state hash %x after round trip, want %x", cfg.Name(), eg.StateHash(), ew.StateHash())
+		}
 	}
 }

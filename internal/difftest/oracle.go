@@ -66,8 +66,9 @@ type Options struct {
 	// outputs, every memory word) against a private solo-engine twin after
 	// every cycle.
 	Batch bool
-	// BatchLanes overrides the batch column's lane count (default 4 — an
-	// odd mix of occupied and padding lanes at the engine's 8-lane blocks).
+	// BatchLanes overrides the batch column's lane count (default 4 — a
+	// partial column: 4 live lanes and 12 padding lanes of the engine's
+	// 16-lane column; at most sim.BatchWidth).
 	BatchLanes int
 	// MutateBatch, when set, is applied to a fresh O2 program that backs
 	// the batch engine only; the solo twins keep the clean program, so a

@@ -124,6 +124,7 @@ func FuzzFirrtlRoundTrip(f *testing.F) {
 	f.Add(`circuit X { module X { input a : UInt<8> output o : UInt<32> o <= or(UInt<32>(0), asSInt(a)) } }`)
 	f.Add("circuit X @ {}")
 	f.Add(`circuit X { module X { output o : UInt<1> o <= UInt<-5>(3) } }`)
+	f.Add("circuit `X-1C` { module `X-1C` { input `a b` : UInt<2> output o : UInt<2> o <= `a b` } }")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			return // bound per-exec cost; long inputs add no new structure

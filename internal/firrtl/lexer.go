@@ -74,7 +74,10 @@ type token struct {
 }
 
 // lexer tokenizes the textual IR. Comments run from ';' or '//' to the end
-// of the line. Newlines are not significant.
+// of the line. Newlines are not significant. A name that is not a plain
+// identifier (e.g. the design name "RocketChip-1C") is written as a
+// literal identifier in backticks: any non-empty run of characters other
+// than '`', '.' and line breaks.
 type lexer struct {
 	src  string
 	pos  int
@@ -148,6 +151,18 @@ func (l *lexer) next() (token, error) {
 			sb.WriteByte(l.advance())
 		}
 		return mk(tIdent, sb.String()), nil
+	case c == '`':
+		l.advance()
+		start := l.pos
+		for l.pos < len(l.src) && !strings.ContainsRune("`.\r\n", rune(l.src[l.pos])) {
+			l.advance()
+		}
+		if l.pos == start || l.pos >= len(l.src) || l.src[l.pos] != '`' {
+			return token{}, l.errf("unterminated or empty literal identifier")
+		}
+		text := l.src[start:l.pos]
+		l.advance()
+		return mk(tIdent, text), nil
 	case unicode.IsDigit(rune(c)) || (c == '-' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))):
 		var sb strings.Builder
 		if c == '-' {

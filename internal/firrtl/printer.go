@@ -8,7 +8,7 @@ import (
 // Print renders the circuit in the textual format accepted by Parse.
 func Print(c *Circuit) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "circuit %s {\n", c.Name)
+	fmt.Fprintf(&sb, "circuit %s {\n", ident(c.Name))
 	for _, m := range c.Modules {
 		printModule(&sb, m)
 	}
@@ -16,10 +16,22 @@ func Print(c *Circuit) string {
 	return sb.String()
 }
 
+// ident renders a name as Parse reads it back: plain identifiers as is,
+// anything else (e.g. the design name "RocketChip-1C") as a backtick
+// literal identifier.
+func ident(name string) string {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; !isIdentCont(c) || i == 0 && !isIdentStart(c) {
+			return "`" + name + "`"
+		}
+	}
+	return name
+}
+
 func printModule(sb *strings.Builder, m *Module) {
-	fmt.Fprintf(sb, "  module %s {\n", m.Name)
+	fmt.Fprintf(sb, "  module %s {\n", ident(m.Name))
 	for _, p := range m.Ports {
-		fmt.Fprintf(sb, "    %s %s : %s\n", p.Dir, p.Name, p.Type)
+		fmt.Fprintf(sb, "    %s %s : %s\n", p.Dir, ident(p.Name), p.Type)
 	}
 	for _, st := range m.Stmts {
 		printStmt(sb, st)
@@ -30,24 +42,28 @@ func printModule(sb *strings.Builder, m *Module) {
 func printStmt(sb *strings.Builder, st Stmt) {
 	switch s := st.(type) {
 	case *Wire:
-		fmt.Fprintf(sb, "    wire %s : %s\n", s.Name, s.Type)
+		fmt.Fprintf(sb, "    wire %s : %s\n", ident(s.Name), s.Type)
 	case *Reg:
-		fmt.Fprintf(sb, "    reg %s : %s", s.Name, s.Type)
+		fmt.Fprintf(sb, "    reg %s : %s", ident(s.Name), s.Type)
 		if s.Init != nil {
 			fmt.Fprintf(sb, " init %s", s.Init.Big().String())
 		}
 		sb.WriteString("\n")
 	case *Mem:
-		fmt.Fprintf(sb, "    mem %s : %s[%d]\n", s.Name, s.Type, s.Depth)
+		fmt.Fprintf(sb, "    mem %s : %s[%d]\n", ident(s.Name), s.Type, s.Depth)
 	case *Inst:
-		fmt.Fprintf(sb, "    inst %s of %s\n", s.Name, s.Of)
+		fmt.Fprintf(sb, "    inst %s of %s\n", ident(s.Name), ident(s.Of))
 	case *Node:
-		fmt.Fprintf(sb, "    node %s = %s\n", s.Name, ExprString(s.Expr))
+		fmt.Fprintf(sb, "    node %s = %s\n", ident(s.Name), ExprString(s.Expr))
 	case *MemWrite:
-		fmt.Fprintf(sb, "    write(%s, %s, %s, %s)\n", s.Mem,
+		fmt.Fprintf(sb, "    write(%s, %s, %s, %s)\n", ident(s.Mem),
 			ExprString(s.Addr), ExprString(s.Data), ExprString(s.En))
 	case *Connect:
-		fmt.Fprintf(sb, "    %s <= %s\n", s.Loc, ExprString(s.Expr))
+		loc := ident(s.Loc)
+		if inst, port, ok := strings.Cut(s.Loc, "."); ok {
+			loc = ident(inst) + "." + ident(port)
+		}
+		fmt.Fprintf(sb, "    %s <= %s\n", loc, ExprString(s.Expr))
 	default:
 		fmt.Fprintf(sb, "    ; unknown statement %T\n", st)
 	}
@@ -57,9 +73,9 @@ func printStmt(sb *strings.Builder, st Stmt) {
 func ExprString(e Expr) string {
 	switch x := e.(type) {
 	case *Ref:
-		return x.Name
+		return ident(x.Name)
 	case *Field:
-		return x.Inst + "." + x.Port
+		return ident(x.Inst) + "." + ident(x.Port)
 	case *Lit:
 		name := "UInt"
 		val := x.Val.Big()
@@ -69,7 +85,7 @@ func ExprString(e Expr) string {
 		}
 		return fmt.Sprintf("%s<%d>(%s)", name, x.Typ.Width, val.String())
 	case *MemRead:
-		return fmt.Sprintf("read(%s, %s)", x.Mem, ExprString(x.Addr))
+		return fmt.Sprintf("read(%s, %s)", ident(x.Mem), ExprString(x.Addr))
 	case *Prim:
 		var sb strings.Builder
 		sb.WriteString(x.Op.String())

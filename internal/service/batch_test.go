@@ -445,3 +445,31 @@ func TestBatchDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBatchLanesClamped pins the width cap: a lane width beyond the
+// sim.BatchWidth column is clamped rather than silently disabling the
+// tier (NewBatchEngine rejects wider groups).
+func TestBatchLanesClamped(t *testing.T) {
+	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 64})
+	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := client.NewSession(cr.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sess.Batched {
+		t.Fatal("session not batched with BatchLanes: 64")
+	}
+	if _, err := sess.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	m, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Batch.LaneWidth != 16 || m.Batch.LaneCapacity != 16 {
+		t.Errorf("lane_width/capacity = %d/%d, want 16/16", m.Batch.LaneWidth, m.Batch.LaneCapacity)
+	}
+}

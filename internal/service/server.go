@@ -38,7 +38,8 @@ type Config struct {
 	Workers int
 	// BatchLanes is the lane width of the batched execution tier: sessions
 	// simulating the same program share one sim.BatchEngine of this many
-	// lanes (default 16; negative or 1 disables batching).
+	// lanes (default 16, max 16 — wider values are clamped to
+	// sim.BatchWidth; negative or 1 disables batching).
 	BatchLanes int
 	// Codegen enables the native build-behind tier: every compile-cache
 	// miss asynchronously builds (or fetches from the artifact store) a
@@ -84,6 +85,7 @@ func (c *Config) defaults() {
 	if c.BatchLanes < 0 {
 		c.BatchLanes = 1 // disabled
 	}
+	c.BatchLanes = min(c.BatchLanes, sim.BatchWidth)
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}

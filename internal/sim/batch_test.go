@@ -85,12 +85,11 @@ func compareLane(t *testing.T, be *BatchEngine, lane int, tw *Engine, tag string
 // TestBatchMatchesEngine is the batch engine's correctness claim: N lanes
 // driven with N distinct input streams must each stay bit-identical to a
 // private Engine fed the same stream — serial and partitioned programs,
-// including fused superinstructions, wide values, and memories. Lane count
-// 5 pads to a stride-8 frame (block-kernel executor), 11 to stride 16 (the
-// inlined evalThreadBatch16 path), so both executors are checked along
-// with their padding lanes.
+// including fused superinstructions, wide values, and memories. Every lane
+// count runs the one 16-lane executor: 1 lane leaves 15 padding lanes, 5 an
+// odd mix of live and padding lanes, 16 a full column.
 func TestBatchMatchesEngine(t *testing.T) {
-	for _, lanes := range []int{5, 11} {
+	for _, lanes := range []int{1, 5, 16} {
 		for seed := int64(50); seed < 54; seed++ {
 			lanes, seed := lanes, seed
 			t.Run(fmt.Sprintf("lanes%d/seed%d", lanes, seed), func(t *testing.T) {
@@ -294,6 +293,9 @@ func TestBatchEngineErrors(t *testing.T) {
 	}
 	if _, err := NewBatchEngine(prog, 0); err == nil {
 		t.Fatal("lanes=0 accepted")
+	}
+	if _, err := NewBatchEngine(prog, BatchWidth+1); err == nil {
+		t.Fatalf("lanes=%d accepted", BatchWidth+1)
 	}
 	shared, err := Compile(g, SerialSpec(g), Config{Shared: true})
 	if err != nil {

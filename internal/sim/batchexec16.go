@@ -6,42 +6,56 @@ import (
 	"unsafe"
 )
 
-// blk16 is one full SoA column at the default lane width: sixteen lanes'
-// values of one state word, two cache lines.
-type blk16 = [16]uint64
+// blk16 is one full SoA column: BatchWidth lanes' values of one state
+// word, two cache lines.
+type blk16 = [BatchWidth]uint64
 
-// evalThreadBatch16 is evalThreadBatch specialized for stride == 16, the
-// column width of the default 16-lane batch groups and of the benchmark
-// gate. The kernel bodies from batchkern.go are unrolled inline across all
-// sixteen lanes: each instruction costs one switch dispatch and a handful
-// of pointer computations, with no kernel call, no slice-header
-// construction, and no block loop. Operand columns are resolved with raw
-// pointer arithmetic (one state word = 128 bytes), which is sound for the
-// same reason BatchEngine's blk view is: linked slot indices are bounded
-// by the program's state-word count, and e.st spans stateWords*stride
+// evalThreadBatch executes thread t's linked instruction stream once,
+// applying each instruction to every lane of the column before moving to
+// the next: instruction fetch, opcode dispatch, and operand decode are paid
+// once per instruction instead of once per lane per instruction.
+//
+// The per-lane semantics are those of evalLinked, written out as sixteen
+// independent statements per narrow opcode. On a 2-CPU Xeon host the
+// unrolled form measured about 2× faster than the same statements folded
+// into a lane loop (BenchmarkBatchEval at 16 lanes): each instruction
+// costs one switch dispatch and a handful of pointer computations, with no
+// loop bookkeeping and no bounds checks, and the statements have no
+// cross-lane dependencies, so the out-of-order core overlaps them freely.
+// Operand columns are resolved with raw pointer arithmetic (one state word
+// = 128 bytes), which is sound because linked slot indices are bounded by
+// the program's state-word count and e.st spans StateWords*BatchWidth
 // words.
 //
-// The per-lane semantics are byte-for-byte those of batchkern.go (which
-// in turn mirror evalLinked): branchless division guards, saturating
-// dynamic shifts, inline sign extension for the fused compares. Plain
-// compares carry Aux == 0 (fuse.go refuses to fuse otherwise), so they
-// compare raw column values without the sign-extension detour.
+// Where evalLinked branches, the lanes go branchless (division guards,
+// selects) since per-lane conditions are uncorrelated; Go's variable
+// shifts already saturate to zero, which is exactly the dynamic-shift
+// overflow rule. Plain compares carry Aux == 0 (fuse.go refuses to fuse
+// otherwise), so they compare raw column values without the
+// sign-extension detour the fused *Ext forms take.
 //
-// This file is mechanically regular by construction — when touching the
-// semantics of an operation, change batchkern.go first and mirror the
-// per-lane expression here in all sixteen statements.
-func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
+// Narrow kernels run over every lane of the column, including masked-out
+// and padding lanes: they are total over garbage, and under the
+// private-temp model the eval phase writes only temps/shadow, so computing
+// a masked-out lane is unobservable (the commit in updateBatch is what the
+// step mask gates). Memory operations and the boxed wide path keep
+// per-lane semantics and honor the mask directly.
+//
+// When changing an operation's semantics, change evalLinked and mirror the
+// per-lane expression here in all sixteen statements; TestBatchMatchesEngine
+// and the difftest batch column check the two against each other.
+func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 	code := e.lp.Threads[t].Code
 	st := e.st
 	n := e.lanes
-	base := unsafe.Pointer(&st[0])
+	base := unsafe.Pointer(unsafe.SliceData(st))
 
-	// p returns the 16-lane column of state word w.
+	// p returns the column of state word w.
 	p := func(w uint32) *blk16 {
-		return (*blk16)(unsafe.Add(base, uintptr(w)*16*8))
+		return (*blk16)(unsafe.Add(base, uintptr(w)*BatchWidth*8))
 	}
 	// col is the live-lane prefix of a column (per-lane fallbacks).
-	col := func(w uint32) []uint64 { return st[int(w)*16:][:n] }
+	col := func(w uint32) []uint64 { return st[int(w)*BatchWidth:][:n] }
 
 	for i := range code {
 		in := &code[i]
@@ -1162,10 +1176,38 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 				evalWide(wn, e.prog, e.laneGS[l], e.laneTC[l][t], e.wval[l], e.wstore[l])
 			}
 		case lCopyRun:
-			copy(st[int(in.Dst)*16:int(in.Dst+in.Aux)*16],
-				st[int(in.A)*16:int(in.A+in.Aux)*16])
+			// Consecutive state words are consecutive SoA columns, so the
+			// whole run commits as one contiguous block copy across lanes.
+			copy(st[int(in.Dst)*BatchWidth:int(in.Dst+in.Aux)*BatchWidth],
+				st[int(in.A)*BatchWidth:int(in.A+in.Aux)*BatchWidth])
 		default:
 			panic(fmt.Sprintf("sim: bad linked opcode %v", in.Op))
 		}
 	}
+}
+
+// sel is a branchless two-way select: x where the condition mask s is all
+// ones, y where it is zero.
+func sel(s, x, y uint64) uint64 { return x&s | y&^s }
+
+// divLane is x/0 = 0 without a branch: divide by (b|1) when b is zero, then
+// squash the bogus quotient with z-1 (= ^0 iff b != 0).
+func divLane(a, b, m uint64) uint64 {
+	z := b2u(b == 0)
+	return (a / (b | z)) & (z - 1) & m
+}
+
+// remLane is x%0 = x, same guard as divLane with a fallback select.
+func remLane(a, b, m uint64) uint64 {
+	z := b2u(b == 0)
+	return (a%(b|z)&(z-1) | a&-z) & m
+}
+
+// dsarOne is one lane of dshr on a signed operand: the arithmetic shift
+// saturates at the sign bit.
+func dsarOne(a, s, m uint64) uint64 {
+	if s > 63 {
+		s = 63
+	}
+	return uint64(int64(a)>>s) & m
 }

@@ -8,8 +8,8 @@ import (
 
 // scanBatch proves the program safe for a lane-batched engine
 // (sim.BatchEngine) with the given lane count. The batch executor stores
-// narrow state word w of lane l at st[w*stride+l]; its correctness rests on
-// three static facts this scan establishes:
+// narrow state word w of lane l at st[w*stride+l], stride = sim.BatchWidth;
+// its correctness rests on three static facts this scan establishes:
 //
 //   - Lane disjointness: distinct lanes never alias one state cell. With
 //     stride >= lanes, w*stride+l == w'*stride+l' forces l == l', so it
@@ -37,14 +37,10 @@ func (v *verifier) scanBatch(lanes int) {
 		v.diag(CheckBatch, Error, -1, -1, "", fmt.Sprintf("lane count %d is not positive", lanes))
 		return
 	}
-	stride := sim.BatchStride(lanes)
+	stride := sim.BatchWidth
 	if stride < lanes {
 		v.diag(CheckBatch, Error, -1, -1, "",
 			fmt.Sprintf("lane stride %d is smaller than the lane count %d: columns of distinct lanes alias", stride, lanes))
-	}
-	if stride%sim.BatchAlign != 0 {
-		v.diag(CheckBatch, Error, -1, -1, "",
-			fmt.Sprintf("lane stride %d is not a multiple of the %d-lane block width: block kernels would straddle rows", stride, sim.BatchAlign))
 	}
 
 	lp := p.Linked()

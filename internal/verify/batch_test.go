@@ -26,14 +26,22 @@ func findBatchInfo(t *testing.T, rep *Report) Diag {
 
 // TestBatchCleanPrograms proves the batch-layout contract on correct
 // compiler output across thread counts, optimization levels, and lane
-// counts (including lanes that do not divide the block width).
+// counts (a single lane, a partial column, a full column), and rejects a
+// lane count wider than the sim.BatchWidth column.
 func TestBatchCleanPrograms(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	for _, k := range []int{1, 2} {
 		for _, opt := range []int{0, 2} {
-			for _, lanes := range []int{1, 3, 16} {
+			for _, lanes := range []int{1, 3, 16, 17} {
 				p, parts := compileParts(t, g, k, opt)
 				rep := Program(p, Options{Graph: g, Parts: parts, BatchLanes: lanes})
+				if lanes > sim.BatchWidth {
+					d := findDiag(t, rep, CheckBatch)
+					if !strings.Contains(d.Msg, "smaller than the lane count") {
+						t.Fatalf("k=%d O%d lanes=%d: wrong rejection: %s", k, opt, lanes, d)
+					}
+					continue
+				}
 				requireClean(t, rep, "batch")
 				info := findBatchInfo(t, rep)
 				if !strings.Contains(info.Msg, "proven lane-disjoint") {
