@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	repcut "repro"
@@ -45,14 +46,19 @@ type jsonOutput struct {
 // the engine the run actually executed on (it can differ from the
 // requested -backend when the native kernel was unavailable); StateHash
 // fingerprints the full architectural state after the last cycle, so two
-// runs of any two backends are directly comparable.
+// runs of any two backends are directly comparable. Oversubscribed is the
+// engine's own record that it has more threads than GOMAXPROCS: its
+// threads share Ps, and it starts fresh goroutines on every Run call
+// instead of keeping idle workers.
 type jsonRun struct {
-	Cycles        int     `json:"cycles"`
-	ElapsedSec    float64 `json:"elapsed_sec"`
-	KHz           float64 `json:"khz"`
-	InstrsRetired uint64  `json:"instrs_retired"`
-	Backend       string  `json:"backend"`
-	StateHash     string  `json:"state_hash"`
+	Cycles         int     `json:"cycles"`
+	ElapsedSec     float64 `json:"elapsed_sec"`
+	KHz            float64 `json:"khz"`
+	InstrsRetired  uint64  `json:"instrs_retired"`
+	Backend        string  `json:"backend"`
+	StateHash      string  `json:"state_hash"`
+	GOMAXPROCS     int     `json:"gomaxprocs"`
+	Oversubscribed bool    `json:"oversubscribed"`
 }
 
 func main() {
@@ -172,12 +178,14 @@ func main() {
 		}
 		el := time.Since(start)
 		out.Run = &jsonRun{
-			Cycles:        *cycles,
-			ElapsedSec:    el.Seconds(),
-			KHz:           float64(*cycles) / el.Seconds() / 1000,
-			InstrsRetired: s.InstrsRetired(),
-			Backend:       s.Backend.String(),
-			StateHash:     fmt.Sprintf("%016x", s.StateHash()),
+			Cycles:         *cycles,
+			ElapsedSec:     el.Seconds(),
+			KHz:            float64(*cycles) / el.Seconds() / 1000,
+			InstrsRetired:  s.InstrsRetired(),
+			Backend:        s.Backend.String(),
+			StateHash:      fmt.Sprintf("%016x", s.StateHash()),
+			GOMAXPROCS:     runtime.GOMAXPROCS(0),
+			Oversubscribed: s.Oversubscribed(),
 		}
 		out.Outputs = map[string]uint64{}
 		for _, o := range s.Program().Outputs {

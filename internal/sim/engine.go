@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bitvec"
@@ -15,11 +14,13 @@ import (
 //	evaluate (into private shadows) → barrier → global update → barrier.
 //
 // With a single thread the engine runs the same phases without goroutines
-// or barriers — the ESSENT-style serial simulator.
+// or barriers — the ESSENT-style serial simulator. With more, the caller's
+// goroutine runs thread 0 and the engine's gang (gang.go) the others.
 type Engine struct {
 	prog *Program
 	gs   *globalState
 	tcs  []*threadCtx
+	gang *gang
 
 	// lp/state are set when the engine runs the linked fast path (link.go):
 	// state is the unified [globals|imms|frames] word array, gs.words and
@@ -53,7 +54,7 @@ func NewInterpEngine(p *Program) *Engine {
 }
 
 func newEngineMode(p *Program, lp *LinkedProgram) *Engine {
-	e := &Engine{prog: p, lp: lp}
+	e := &Engine{prog: p, lp: lp, gang: newGang(p.NumThreads)}
 	if lp != nil {
 		e.state = make([]uint64, lp.StateWords)
 		copy(e.state[lp.ImmOff:], p.Imms)
@@ -103,6 +104,11 @@ func (e *Engine) Program() *Program { return e.prog }
 
 // Cycles returns the number of cycles simulated since the last Reset.
 func (e *Engine) Cycles() uint64 { return e.cycles }
+
+// Oversubscribed reports whether the engine has more threads than
+// GOMAXPROCS had when the engine was built. Such an engine starts fresh
+// goroutines on every Run instead of keeping idle workers.
+func (e *Engine) Oversubscribed() bool { return !e.gang.linger }
 
 // InstrsRetired returns the total interpreter instructions executed since
 // the last Reset (aggregated over threads).
@@ -259,21 +265,15 @@ func (e *Engine) Run(n int) {
 		}
 	} else {
 		bar := NewBarrier(p.NumThreads)
-		var wg sync.WaitGroup
-		for t := 0; t < p.NumThreads; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				var sense uint32
-				for c := 0; c < n; c++ {
-					e.evalThread(t)
-					bar.Wait(&sense) // evaluation barrier
-					e.update(t)
-					bar.Wait(&sense) // global update barrier
-				}
-			}(t)
-		}
-		wg.Wait()
+		e.gang.run(func(t int) {
+			var sense uint32
+			for c := 0; c < n; c++ {
+				e.evalThread(t)
+				bar.Wait(&sense) // evaluation barrier
+				e.update(t)
+				bar.Wait(&sense) // global update barrier
+			}
+		})
 	}
 	e.cycles += uint64(n)
 	for t := range p.Threads {
@@ -303,32 +303,27 @@ func (e *Engine) RunProfiled(n int) [][]PhaseSample {
 		return out
 	}
 	bar := NewBarrier(p.NumThreads)
-	var wg sync.WaitGroup
-	for t := 0; t < p.NumThreads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			var sense uint32
-			for c := 0; c < n; c++ {
-				t0 := time.Now()
-				e.evalThread(t)
-				t1 := time.Now()
-				bar.Wait(&sense)
-				t2 := time.Now()
-				e.update(t)
-				t3 := time.Now()
-				bar.Wait(&sense)
-				t4 := time.Now()
-				out[c][t] = PhaseSample{
-					Eval:          t1.Sub(t0),
-					EvalBarrier:   t2.Sub(t1),
-					Update:        t3.Sub(t2),
-					UpdateBarrier: t4.Sub(t3),
-				}
+	e.gang.run(func(t int) {
+		var sense uint32
+		for c := 0; c < n; c++ {
+			t0 := time.Now()
+			e.evalThread(t)
+			t1 := time.Now()
+			bar.Wait(&sense)
+			t2 := time.Now()
+			e.update(t)
+			t3 := time.Now()
+			bar.Wait(&sense)
+			t4 := time.Now()
+			out[c][t] = PhaseSample{
+				Eval:          t1.Sub(t0),
+				EvalBarrier:   t2.Sub(t1),
+				Update:        t3.Sub(t2),
+				UpdateBarrier: t4.Sub(t3),
 			}
-		}(t)
-	}
-	wg.Wait()
+		}
+		bar.Wait(&sense) // orders the last sample before the return
+	})
 	e.cycles += uint64(n)
 	for t := range p.Threads {
 		e.instrsRetired += uint64(e.codeLen(t)) * uint64(n)

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/designs"
 )
 
@@ -47,6 +50,45 @@ func BenchmarkEvalInterp(b *testing.B) {
 // BenchmarkEvalLinked times the resolved+fused streams on the same design.
 func BenchmarkEvalLinked(b *testing.B) {
 	runEngineBench(b, NewEngine(benchProgram(b)))
+}
+
+// BenchmarkEngineStep times a testbench's Run(1) on RocketChip-1C at 1, 2,
+// 8 and 16 threads. On a host with fewer CPUs than threads the engine is
+// oversubscribed and starts fresh goroutines every call; otherwise its
+// workers linger between calls.
+func BenchmarkEngineStep(b *testing.B) {
+	cfg, err := designs.ParseName("RocketChip-1C")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := designs.Build(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 8, 16} {
+		b.Run(fmt.Sprintf("threads%d", k), func(b *testing.B) {
+			specs := SerialSpec(g)
+			if k > 1 {
+				res, err := core.Partition(g, core.Options{K: k, Seed: 1, Model: costmodel.Default()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				specs = partSpecs(res)
+			}
+			prog, err := Compile(g, specs, Config{OptLevel: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := NewEngine(prog)
+			e.Run(2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Run(1)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+		})
+	}
 }
 
 // BenchmarkOperandResolution is the layout bake-off referenced by link.go:

@@ -43,6 +43,7 @@ type TaskEngine struct {
 	plan TaskPlan
 	gs   *globalState
 	tcs  []*threadCtx
+	gang *gang
 
 	// Shared-mode programs link strictly 1:1 (no fusion, nops preserved —
 	// see link.go), so the plan's TaskRange offsets index linked code
@@ -60,7 +61,7 @@ func NewTaskEngine(p *Program, plan TaskPlan) (*TaskEngine, error) {
 		return nil, fmt.Errorf("sim: plan has %d threads, program has %d", len(plan.PerThread), p.NumThreads)
 	}
 	lp := p.Linked()
-	e := &TaskEngine{prog: p, plan: plan, lp: lp}
+	e := &TaskEngine{prog: p, plan: plan, lp: lp, gang: newGang(p.NumThreads)}
 	e.state = make([]uint64, lp.StateWords)
 	copy(e.state[lp.ImmOff:], p.Imms)
 	e.gs = newGlobalStateWords(p, e.state[:p.GlobalWords:p.GlobalWords])
@@ -248,47 +249,41 @@ func (e *TaskEngine) run(n int, sample func(cycle int, s TaskSample)) {
 	p := e.prog
 	base := e.cycles
 	bar := NewBarrier(p.NumThreads)
-	var wg sync.WaitGroup
-	for t := 0; t < p.NumThreads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			var sense uint32
-			code := e.lp.Threads[t].Code
-			tc := e.tcs[t]
-			tasks := e.plan.PerThread[t]
-			for c := 0; c < n; c++ {
-				target := base + uint64(c) + 1
-				for _, task := range tasks {
-					var t0 time.Time
-					if sample != nil {
-						t0 = time.Now()
-					}
-					for _, dep := range task.Deps {
-						e.waitFor(dep, target)
-					}
-					var t1 time.Time
-					if sample != nil {
-						t1 = time.Now()
-					}
-					evalLinked(code[task.Start:task.End], e.state, p, e.lp, e.gs, tc)
-					e.doneCycle[task.ID].Store(target)
-					if sample != nil {
-						t2 := time.Now()
-						sample(c, TaskSample{
-							Task: task.ID, Thread: t,
-							Wait: t1.Sub(t0), Exec: t2.Sub(t1),
-							EstCost: task.EstCost,
-						})
-					}
+	e.gang.run(func(t int) {
+		var sense uint32
+		code := e.lp.Threads[t].Code
+		tc := e.tcs[t]
+		tasks := e.plan.PerThread[t]
+		for c := 0; c < n; c++ {
+			target := base + uint64(c) + 1
+			for _, task := range tasks {
+				var t0 time.Time
+				if sample != nil {
+					t0 = time.Now()
 				}
-				bar.Wait(&sense)
-				e.update(t)
-				bar.Wait(&sense)
+				for _, dep := range task.Deps {
+					e.waitFor(dep, target)
+				}
+				var t1 time.Time
+				if sample != nil {
+					t1 = time.Now()
+				}
+				evalLinked(code[task.Start:task.End], e.state, p, e.lp, e.gs, tc)
+				e.doneCycle[task.ID].Store(target)
+				if sample != nil {
+					t2 := time.Now()
+					sample(c, TaskSample{
+						Task: task.ID, Thread: t,
+						Wait: t1.Sub(t0), Exec: t2.Sub(t1),
+						EstCost: task.EstCost,
+					})
+				}
 			}
-		}(t)
-	}
-	wg.Wait()
+			bar.Wait(&sense)
+			e.update(t)
+			bar.Wait(&sense)
+		}
+	})
 	e.cycles += uint64(n)
 }
 

@@ -3,6 +3,7 @@ package verilator
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,6 +141,57 @@ func TestMatchesSerial(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// A task engine stepped with Run(1) must agree with one that runs the same
+// cycles in batches, on both runner paths (GOMAXPROCS(1) makes every
+// thread count oversubscribed).
+func TestTaskEngineBatchedMatchesStepped(t *testing.T) {
+	g := mustGraph(t, pipelineSrc(30, 7))
+	for _, threads := range []int{2, 3, 4} {
+		v, err := New(g, Options{Threads: threads, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+			t.Run(fmt.Sprintf("threads%d/gomaxprocs%d", threads, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				batched, err := sim.NewTaskEngine(v.Prog, v.Plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stepped, err := sim.NewTaskEngine(v.Prog, v.Plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, n := range []int{1, 9, 4, 17} {
+					for _, e := range []*sim.TaskEngine{batched, stepped} {
+						if i == 2 {
+							e.Reset()
+						}
+						if err := e.PokeInput("i", uint64(i*977+3)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					batched.Run(n)
+					for c := 0; c < n; c++ {
+						stepped.Run(1)
+					}
+					if batched.Cycles() != stepped.Cycles() {
+						t.Fatalf("segment %d: cycles %d vs %d", i, batched.Cycles(), stepped.Cycles())
+					}
+					for ri := range g.Regs {
+						name := g.Regs[ri].Name
+						bv, _ := batched.PeekReg(name)
+						sv, _ := stepped.PeekReg(name)
+						if bv != sv {
+							t.Fatalf("segment %d: reg %s: batched=%d stepped=%d", i, name, bv, sv)
+						}
+					}
+				}
+			})
 		}
 	}
 }
