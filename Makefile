@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint check bench bench-interp bench-batch bench-codegen bench-repart bench-cluster cluster results serve loadgen loadgen-hot fuzz
+.PHONY: build test lint check bench bench-batch bench-codegen bench-repart bench-cluster cluster results serve loadgen loadgen-hot fuzz
 
 build:
 	$(GO) build ./...
@@ -29,12 +29,6 @@ check: lint
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-
-# Regenerate the linked-fast-path measurement: real interp-vs-linked
-# cycles/sec per design, written to results/interp_fastpath.{txt,csv} and
-# machine-readable results/BENCH_interp.json.
-bench-interp:
-	$(GO) run ./cmd/benchall -interp-only -out results
 
 # Regenerate the lane-batching measurement: one BatchEngine with N lanes
 # vs N independent engines, written to results/batch_sweep.{txt,csv} and
@@ -84,6 +78,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDifferentialSim -fuzztime=$(FUZZTIME) ./internal/difftest/
 	$(GO) test -run=NONE -fuzz=FuzzFirrtlRoundTrip -fuzztime=$(FUZZTIME) ./internal/firrtl/
 	$(GO) test -run=NONE -fuzz=FuzzBitvecOps -fuzztime=$(FUZZTIME) ./internal/bitvec/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) run ./cmd/repcutfuzz -seeds 200
 
 # Boot the simulation service on the default local address.

@@ -1,6 +1,7 @@
 package repcut_test
 
 import (
+	"strings"
 	"testing"
 
 	repcut "repro"
@@ -18,6 +19,24 @@ circuit Tiny {
   }
 }
 `
+
+// ParseBackend accepts exactly the backends String names, and an unknown
+// value (including the removed closure interpreter) names the valid ones.
+func TestParseBackend(t *testing.T) {
+	for _, b := range []repcut.Backend{repcut.BackendLinked, repcut.BackendNative} {
+		got, err := repcut.ParseBackend(b.String())
+		if err != nil || got != b {
+			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", b.String(), got, err, b)
+		}
+	}
+	if got, err := repcut.ParseBackend(""); err != nil || got != repcut.BackendLinked {
+		t.Fatalf("ParseBackend(\"\") = %v, %v; want linked", got, err)
+	}
+	_, err := repcut.ParseBackend("interp")
+	if err == nil || !strings.Contains(err.Error(), "linked") || !strings.Contains(err.Error(), "native") {
+		t.Fatalf("ParseBackend(\"interp\") error %v does not name linked and native", err)
+	}
+}
 
 func TestBackendNativeFallbackAndRun(t *testing.T) {
 	c, err := repcut.ParseCircuit(backendSrc)

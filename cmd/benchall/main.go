@@ -39,7 +39,6 @@ func main() {
 		check   = flag.Bool("check", true, "run a real-engine equivalence spot check first")
 		doVerif = flag.Bool("verify", true, "statically verify every compiled program (race freedom, replication closure, schedule)")
 		svcDur  = flag.Duration("service-duration", 2*time.Second, "length of the repcutd service throughput run (0 disables)")
-		interpO = flag.Bool("interp-only", false, "run only the interp-vs-linked fast path measurement and exit")
 		batchO  = flag.Bool("batch-only", false, "run only the lane-batching sweep and exit")
 		cgO     = flag.Bool("codegen-only", false, "run only the native-codegen backend measurement and exit")
 		repartO = flag.Bool("repart-only", false, "run only the repartitioning (refined+derep vs unrefined) measurement and exit")
@@ -79,10 +78,6 @@ func main() {
 		}
 	}
 
-	if *interpO {
-		interpFastpath(s, *outDir, write)
-		return
-	}
 	if *batchO {
 		batchSweep(s, *outDir, write)
 		return
@@ -164,7 +159,6 @@ func main() {
 	step("Table 3 (performance counters)")
 	write("table3", s.Table3())
 
-	interpFastpath(s, *outDir, write)
 	batchSweep(s, *outDir, write)
 	codegenBench(s, *outDir, write)
 	repartBench(s, *outDir, write)
@@ -184,24 +178,6 @@ func main() {
 			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 				fatal(err)
 			}
-		}
-	}
-}
-
-// interpFastpath measures real interp-vs-linked throughput on this host and
-// writes interp_fastpath.{txt,csv} plus the machine-readable
-// BENCH_interp.json (one record per design × engine × thread count).
-func interpFastpath(s *experiments.Suite, outDir string, write func(string, *report.Table)) {
-	step("linked fast path (real interp vs linked cycles/sec)")
-	points := s.InterpFastpath([]int{1, 2}, 2000)
-	write("interp_fastpath", experiments.FastpathTable(points))
-	data, err := experiments.FastpathJSON(points)
-	if err != nil {
-		fatal(err)
-	}
-	if outDir != "" {
-		if err := os.WriteFile(filepath.Join(outDir, "BENCH_interp.json"), data, 0o644); err != nil {
-			fatal(err)
 		}
 	}
 }

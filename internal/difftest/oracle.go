@@ -1,7 +1,7 @@
 // Package difftest is a differential oracle over the simulator stack. It
 // runs one generated circuit through every execution engine the repo has —
-// the tree-walking Reference, the serial interpreter, the linked/fused fast
-// path, RepCut parallel partitions at several k, the Verilator-style task
+// the tree-walking Reference, the unfused O0 linked stream, the linked/fused
+// fast path, RepCut parallel partitions at several k, the Verilator-style task
 // engine, and a compile-cache round-trip through the service layer — and
 // compares full architectural state (registers, outputs, every memory word)
 // cycle by cycle. Metamorphic invariants (partition-count invariance,
@@ -209,25 +209,22 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 	ref := sim.NewReference(g)
 
 	var engines []namedEngine
-	addProgram := func(name string, p *sim.Program, interp bool) {
-		if interp {
-			engines = append(engines, namedEngine{name, serialAdapter{sim.NewInterpEngine(p)}})
-		} else {
-			engines = append(engines, namedEngine{name, serialAdapter{sim.NewEngine(p)}})
-		}
+	addEngine := func(name string, e *sim.Engine) {
+		engines = append(engines, namedEngine{name, serialAdapter{e}})
 	}
 
-	// Serial interpreter (O0) and linked/fused fast path (O2).
+	// Serial O0 on the unfused linked stream (one linked instruction per
+	// compiled one) and the linked/fused fast path (O2).
 	p0, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 0})
 	if err != nil {
 		return &Mismatch{Engine: "serial-O0", Cycle: -1, Kind: "compile", Got: err.Error()}
 	}
-	addProgram("interp-O0", p0, true)
+	addEngine("unfused-O0", sim.NewUnfusedEngine(p0))
 	p2, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 2})
 	if err != nil {
 		return &Mismatch{Engine: "serial-O2", Cycle: -1, Kind: "compile", Got: err.Error()}
 	}
-	addProgram("linked-O2", p2, false)
+	addEngine("linked-O2", sim.NewEngine(p2))
 
 	// Translation validation of the serial pair. The verdict is not trusted
 	// on its own: validatorCrossCheck reconciles it with what the dynamic
@@ -270,7 +267,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 				return &Mismatch{Engine: fmt.Sprintf("par-k%d", k), Cycle: -1, Kind: kind, Got: err.Error()}
 			}
 		}
-		addProgram(fmt.Sprintf("par-k%d", k), pk, false)
+		addEngine(fmt.Sprintf("par-k%d", k), sim.NewEngine(pk))
 	}
 
 	// Repartitioned parallel engines: replication-aware k-way refinement
@@ -330,7 +327,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 					return &Mismatch{Engine: name, Cycle: -1, Kind: "verify", Got: err.Error()}
 				}
 			}
-			addProgram(name, pk, false)
+			addEngine(name, sim.NewEngine(pk))
 		}
 	}
 
@@ -365,7 +362,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			return &Mismatch{Engine: "service", Cycle: -1, Kind: "fingerprint",
 				Got: fmt.Sprintf("%#x", e2.Fingerprint), Want: fmt.Sprintf("%#x", e1.Fingerprint)}
 		}
-		engines = append(engines, namedEngine{"service", serialAdapter{e1.Compiled.NewSimulator().Engine}})
+		addEngine("service", e1.Compiled.NewSimulator().Engine)
 	}
 
 	// Mutation hook: plant a bug into a fresh O0 program and let the
@@ -376,7 +373,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			return &Mismatch{Engine: "mutant", Cycle: -1, Kind: "compile", Got: err.Error()}
 		}
 		if opt.Mutate(pm) {
-			addProgram("mutant", pm, true)
+			addEngine("mutant", sim.NewUnfusedEngine(pm))
 		}
 	}
 
@@ -390,7 +387,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			return m
 		}
 		if e != nil {
-			engines = append(engines, namedEngine{name, serialAdapter{e}})
+			addEngine(name, e)
 		}
 	}
 
@@ -576,7 +573,7 @@ func runBatchColumn(g *cgraph.Graph, p2 *sim.Program, opt Options) *Mismatch {
 // runCheckpointColumn proves session state survives serialization: a
 // linked-O2 engine runs the first half of the cycle budget, snapshots,
 // the snapshot round-trips through the binary wire encoding, and the
-// decoded form restores onto fresh engines — always a second interpreter
+// decoded form restores onto fresh engines — always a second linked
 // engine, plus a native-kernel engine when the codegen column is
 // available, so the restore is cross-backend. Every copy must match the
 // original's architectural state hash immediately after restore and stay
@@ -628,11 +625,7 @@ func runCheckpointColumn(g *cgraph.Graph, p2 *sim.Program, opt Options) *Mismatc
 			return m
 		}
 	}
-	snap, err := primary.Snapshot()
-	if err != nil {
-		return mm(k1, err.Error(), "snapshot at cycle boundary")
-	}
-	dec, err := sim.DecodeSnapshot(snap.Encode())
+	dec, err := sim.DecodeSnapshot(primary.Snapshot().Encode())
 	if err != nil {
 		return mm(k1, err.Error(), "wire round-trip to decode")
 	}

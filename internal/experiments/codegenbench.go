@@ -14,9 +14,18 @@ import (
 // This file measures the native codegen backend (internal/codegen) on the
 // real host: actual wall-clock cycles/sec of the linked interpreter versus
 // the same program compiled to a plugin kernel, per design and thread
-// count, plus each kernel's out-of-process build latency. Like the fast-
-// path measurement these are honest end-to-end numbers on whatever machine
-// runs them; platforms without plugin support report no points.
+// count, plus each kernel's out-of-process build latency. These are honest
+// end-to-end numbers on whatever machine runs them; platforms without
+// plugin support report no points.
+
+// measureCPS times one engine for the given cycle count, after a short
+// warm-up so one-time lazy setup is off the clock.
+func measureCPS(e *sim.Engine, cycles int) float64 {
+	e.Run(cycles / 10)
+	start := time.Now()
+	e.Run(cycles)
+	return float64(cycles) / time.Since(start).Seconds()
+}
 
 // CodegenPoint is one design × thread-count measurement of both backends.
 type CodegenPoint struct {

@@ -59,7 +59,7 @@ func (s *Session) Checkpoint() (*sim.Snapshot, error) {
 		})
 		return snap, err
 	}
-	return s.Sim.Engine.Snapshot()
+	return s.Sim.Engine.Snapshot(), nil
 }
 
 // StateHash returns the session's architectural state hash (name-sorted

@@ -95,7 +95,7 @@ func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 	}
 	for l := 0; l < lanes; l++ {
 		e.fullMask[l] = true
-		gs := newGlobalStateWords(p, nil)
+		gs := newGlobalState(p, nil)
 		e.laneGS = append(e.laneGS, gs)
 		tcs := make([]*threadCtx, len(p.Threads))
 		for t := range p.Threads {

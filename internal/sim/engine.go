@@ -22,17 +22,15 @@ type Engine struct {
 	tcs  []*threadCtx
 	gang *gang
 
-	// lp/state are set when the engine runs the linked fast path (link.go):
-	// state is the unified [globals|imms|frames] word array, gs.words and
-	// each threadCtx's temps/shadow alias slices of it, and Run dispatches
-	// evalLinked instead of evalBlock. A nil lp is the reference
-	// interpreter (NewInterpEngine), kept for cross-checking.
+	// lp is the linked stream the engine runs and state its unified
+	// [globals|imms|frames] word array (link.go); gs.words and each
+	// threadCtx's temps/shadow alias slices of state.
 	lp    *LinkedProgram
 	state []uint64
 
 	// native, when non-nil, replaces the eval phase of each thread with a
 	// compiled kernel over the same unified state slice (native.go). Set
-	// via InstallNative; only valid on linked engines.
+	// via InstallNative.
 	native []nativeThread
 
 	cycles        uint64
@@ -43,61 +41,48 @@ type Engine struct {
 // resets it to power-on state. The linked form is built once per Program
 // and shared across engines.
 func NewEngine(p *Program) *Engine {
-	return newEngineMode(p, p.Linked())
+	return newEngine(p, p.Linked())
 }
 
-// NewInterpEngine creates an engine that runs the original closure-based
-// interpreter (evalBlock). It is the reference semantics the linked fast
-// path is cross-checked against; production callers want NewEngine.
-func NewInterpEngine(p *Program) *Engine {
-	return newEngineMode(p, nil)
+// NewUnfusedEngine creates an engine over the program's linked stream
+// without the fusion pass: one linked instruction per compiled instruction.
+// It is the O0 reference the translation validator and the differential
+// oracle compare optimized engines against, so a fusion bug never sits on
+// both sides of a comparison. The unfused form is built per call, not
+// cached; production callers want NewEngine.
+func NewUnfusedEngine(p *Program) *Engine {
+	return newEngine(p, link(p, false))
 }
 
-func newEngineMode(p *Program, lp *LinkedProgram) *Engine {
+func newEngine(p *Program, lp *LinkedProgram) *Engine {
 	e := &Engine{prog: p, lp: lp, gang: newGang(p.NumThreads)}
-	if lp != nil {
-		e.state = make([]uint64, lp.StateWords)
-		copy(e.state[lp.ImmOff:], p.Imms)
-		e.gs = newGlobalStateWords(p, e.state[:p.GlobalWords:p.GlobalWords])
-		for t := range p.Threads {
-			th := &p.Threads[t]
-			lt := &lp.Threads[t]
-			frame := e.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
-			e.tcs = append(e.tcs, newThreadCtx(p, th, frame))
-		}
-	} else {
-		e.gs = newGlobalState(p)
-		for t := range p.Threads {
-			e.tcs = append(e.tcs, newThreadCtx(p, &p.Threads[t], nil))
-		}
+	e.state = make([]uint64, lp.StateWords)
+	copy(e.state[lp.ImmOff:], p.Imms)
+	e.gs = newGlobalState(p, e.state[:p.GlobalWords:p.GlobalWords])
+	for t := range p.Threads {
+		th := &p.Threads[t]
+		lt := &lp.Threads[t]
+		frame := e.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
+		e.tcs = append(e.tcs, newThreadCtx(p, th, frame))
 	}
 	e.Reset()
 	return e
 }
 
-// evalThread runs one eval phase of thread t through whichever execution
-// form the engine was built with.
+// evalThread runs one eval phase of thread t: the native kernel when one is
+// installed, the linked stream otherwise.
 func (e *Engine) evalThread(t int) {
 	if e.native != nil {
 		nt := &e.native[t]
 		nt.fn(e.state, e.gs.mems, nt.memwr, nt.wide)
 		return
 	}
-	if e.lp != nil {
-		evalLinked(e.lp.Threads[t].Code, e.state, e.prog, e.lp, e.gs, e.tcs[t])
-	} else {
-		evalBlock(e.prog.Threads[t].Code, e.prog, e.gs, e.tcs[t])
-	}
+	evalLinked(e.lp.Threads[t].Code, e.state, e.prog, e.lp, e.gs, e.tcs[t])
 }
 
-// codeLen is the executed stream length of thread t (linked streams are
-// shorter after fusion).
-func (e *Engine) codeLen(t int) int {
-	if e.lp != nil {
-		return len(e.lp.Threads[t].Code)
-	}
-	return len(e.prog.Threads[t].Code)
-}
+// codeLen is the executed stream length of thread t (shorter than the
+// compiled stream after fusion).
+func (e *Engine) codeLen(t int) int { return len(e.lp.Threads[t].Code) }
 
 // Program returns the engine's compiled program.
 func (e *Engine) Program() *Program { return e.prog }

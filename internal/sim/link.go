@@ -8,8 +8,8 @@ import (
 
 // This file implements the link stage: lowering a compiled Program into a
 // resolved execution form where every narrow operand is a direct index into
-// one flat per-engine state slice, eliminating the per-operand closure call
-// and RefTag switch the interpreter (exec.go) pays on every read and write.
+// one flat per-engine state slice, so the executor pays no per-operand
+// RefTag switch on any read or write.
 //
 // Unified state layout (all regions padded to SegmentWords so no cache line
 // is written by two threads):
@@ -162,7 +162,7 @@ func (p *Program) Linked() *LinkedProgram {
 	p.linkMu.Lock()
 	defer p.linkMu.Unlock()
 	if p.linked == nil {
-		p.linked = link(p)
+		p.linked = link(p, !p.Shared)
 	}
 	return p.linked
 }
@@ -182,12 +182,13 @@ func (lp *LinkedProgram) resolve(t int, ref uint32) uint32 {
 	}
 }
 
-// link lowers p: lay out the unified state, resolve every operand, then
-// (for private-temp programs) run the fusion peephole. Shared-mode
-// programs keep a strict 1:1 instruction mapping so Marks and TaskRange
-// slices remain valid, and are never fused: their threads communicate
-// mid-cycle, so eliminating or sinking an instruction is observable.
-func link(p *Program) *LinkedProgram {
+// link lowers p: lay out the unified state, resolve every operand, then,
+// when fused is set, run the fusion peephole. Without fusion the streams
+// keep a strict 1:1 instruction mapping — what Shared-mode programs need,
+// since their Marks and TaskRange slices index the code and their threads
+// communicate mid-cycle, so eliminating or sinking an instruction is
+// observable; it is also the unfused O0 reference (NewUnfusedEngine).
+func link(p *Program, fused bool) *LinkedProgram {
 	lp := &LinkedProgram{prog: p}
 	off := padTo(uint32(p.GlobalWords), SegmentWords)
 	lp.ImmOff = int(off)
@@ -233,7 +234,7 @@ func link(p *Program) *LinkedProgram {
 		lt.Code = lp.translate(t, th, masks, wideOwned)
 		lp.Stats.Instrs += countNonNop(th.Code)
 	}
-	if !p.Shared {
+	if fused {
 		fuse(lp, masks)
 	}
 	for t := range lp.Threads {

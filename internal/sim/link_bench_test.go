@@ -9,7 +9,7 @@ import (
 	"repro/internal/designs"
 )
 
-// benchProgram compiles a bundled design for the interp-vs-linked benchmarks.
+// benchProgram compiles a bundled design for the executor benchmarks.
 func benchProgram(b *testing.B) *Program {
 	b.Helper()
 	g, err := designs.Build(designs.Config{Kind: designs.Rocket, Cores: 1, Scale: 0.5})
@@ -41,13 +41,7 @@ func runEngineBench(b *testing.B, e *Engine) {
 	b.ReportMetric(cyc/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkEvalInterp times the closure-based interpreter on a bundled
-// design — the "before" side of the linked fast path's speedup claim.
-func BenchmarkEvalInterp(b *testing.B) {
-	runEngineBench(b, NewInterpEngine(benchProgram(b)))
-}
-
-// BenchmarkEvalLinked times the resolved+fused streams on the same design.
+// BenchmarkEvalLinked times the resolved+fused streams on a bundled design.
 func BenchmarkEvalLinked(b *testing.B) {
 	runEngineBench(b, NewEngine(benchProgram(b)))
 }

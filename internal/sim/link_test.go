@@ -41,10 +41,11 @@ func compileSrc(t testing.TB, src string) *Program {
 	return prog
 }
 
-// TestLinkedMatchesInterp is the linked fast path's correctness claim: the
-// resolved+fused streams must be bit-identical to the closure-based
-// interpreter on every register for any thread count.
-func TestLinkedMatchesInterp(t *testing.T) {
+// TestLinkedMatchesReference is the linked fast path's correctness claim:
+// the resolved+fused streams, and the unfused stream the O0 reference
+// columns run on, must match the graph-level Reference on every register,
+// output and memory word for any thread count.
+func TestLinkedMatchesReference(t *testing.T) {
 	for seed := int64(20); seed < 24; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -64,11 +65,17 @@ func TestLinkedMatchesInterp(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile k=%d: %v", k, err)
 				}
-				interp := NewInterpEngine(prog)
 				linked := NewEngine(prog)
-				if linked.lp == nil || interp.lp != nil {
-					t.Fatalf("engine modes wrong: interp.lp=%v linked.lp=%v", interp.lp, linked.lp)
+				unfused := NewUnfusedEngine(prog)
+				if linked.lp != prog.Linked() || unfused.lp == linked.lp {
+					t.Fatalf("k=%d: NewEngine must run the cached linked form, NewUnfusedEngine its own", k)
 				}
+				for th := range prog.Threads {
+					if got, want := len(unfused.lp.Threads[th].Code), len(prog.Threads[th].Code); got != want {
+						t.Fatalf("k=%d thread %d: unfused stream has %d instrs, compiled code %d", k, th, got, want)
+					}
+				}
+				ref := NewReference(g)
 
 				rng := rand.New(rand.NewSource(seed * 31))
 				for cyc := 0; cyc < 15; cyc++ {
@@ -78,24 +85,24 @@ func TestLinkedMatchesInterp(t *testing.T) {
 						w.Words[j] = rng.Uint64()
 					}
 					w = bitvec.ZeroExtend(70, w)
-					for _, e := range []*Engine{interp, linked} {
+					for _, e := range []*Engine{linked, unfused} {
 						if err := e.PokeInput("in1", v1); err != nil {
 							t.Fatal(err)
 						}
 						if err := e.PokeInputVec("in2", w); err != nil {
 							t.Fatal(err)
 						}
+						e.Run(1)
 					}
-					interp.Run(1)
-					linked.Run(1)
-					for i := range g.Regs {
-						iv, _ := interp.PeekReg(g.Regs[i].Name)
-						lv, _ := linked.PeekReg(g.Regs[i].Name)
-						if !bitvec.Eq(iv, lv) {
-							t.Fatalf("k=%d cycle=%d: interp/linked diverge on %s: %v vs %v",
-								k, cyc, g.Regs[i].Name, iv, lv)
-						}
+					if err := ref.PokeInputUint("in1", v1); err != nil {
+						t.Fatal(err)
 					}
+					if err := ref.PokeInput("in2", w); err != nil {
+						t.Fatal(err)
+					}
+					ref.Step()
+					compareState(t, g, linked, ref, fmt.Sprintf("k=%d cycle=%d linked", k, cyc))
+					compareState(t, g, unfused, ref, fmt.Sprintf("k=%d cycle=%d unfused", k, cyc))
 				}
 			}
 		})

@@ -5,12 +5,15 @@ import (
 	"math/bits"
 )
 
-// evalLinked executes one linked instruction stream. It is the fast-path
-// replacement for evalBlock: every operand is a single indexed load or
-// store into the engine's unified state slice — no per-operand closure, no
-// RefTag switch — and the fused superinstructions from fuse.go each retire
-// two (or, for copy runs, many) interpreter instructions per dispatch.
-// Semantics are bit-identical to evalBlock (cross-checked in link_test.go).
+// evalLinked executes one linked instruction stream; it is the only narrow
+// executor of the Engine and TaskEngine. Every operand is a single indexed
+// load or store into the engine's unified state slice — no per-operand
+// closure, no RefTag switch — and the fused superinstructions from fuse.go
+// each retire two (or, for copy runs, many) compiled instructions per
+// dispatch. An unfused stream (NewUnfusedEngine) runs only the base cases,
+// one per compiled instruction; link_test.go checks both forms against the
+// graph-level Reference, and EvalOp runs single base ops through here for
+// the constant folder and the translation validator.
 func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *globalState, tc *threadCtx) {
 	// Closures for the boxed wide path are built lazily: threads without
 	// wide nodes must not allocate per cycle.

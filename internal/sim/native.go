@@ -38,14 +38,10 @@ type nativeThread struct {
 }
 
 // InstallNative switches the engine's eval phase to the given per-thread
-// native kernels. Only engines over the linked execution form accept
-// kernels (the generated code hard-codes the linked state layout); the
-// update phase, barriers, Poke/Peek, and Reset are unchanged, so a kernel
-// may be installed between any two Run calls of a live engine.
+// native kernels, which hard-code the linked state layout. The update
+// phase, barriers, Poke/Peek, and Reset are unchanged, so a kernel may be
+// installed between any two Run calls of a live engine.
 func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
-	if e.lp == nil {
-		return fmt.Errorf("sim: native kernels require a linked engine (NewEngine, not NewInterpEngine)")
-	}
 	if len(fns) != e.prog.NumThreads {
 		return fmt.Errorf("sim: kernel has %d thread funcs, program has %d threads", len(fns), e.prog.NumThreads)
 	}

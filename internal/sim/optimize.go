@@ -98,8 +98,6 @@ func foldConstants(p *Program, th *ThreadCode) bool {
 		return uint32(len(p.Imms) - 1)
 	}
 	changed := false
-	gs := &globalState{}
-	scratch := &threadCtx{temps: make([]uint64, 1)}
 	for i := range th.Code {
 		in := &th.Code[i]
 		n := opReads(in.Op)
@@ -119,22 +117,22 @@ func foldConstants(p *Program, th *ThreadCode) bool {
 		if RefTag(in.Dst) != RefLocal {
 			continue
 		}
+		var vals [3]uint64
 		allImm := true
 		for k := 0; k < n; k++ {
 			if RefTag(*refs[k]) != RefImm {
 				allImm = false
 				break
 			}
+			vals[k] = p.Imms[RefIdx(*refs[k])]
 		}
 		if !allImm || n == 0 {
 			continue
 		}
-		// Evaluate through the interpreter itself so folding can never
+		// Evaluate through the executor itself so folding can never
 		// diverge from execution.
-		probe := *in
-		probe.Dst = MakeRef(RefLocal, 0)
-		evalBlock([]Instr{probe}, p, gs, scratch)
-		immOf[RefIdx(in.Dst)] = intern(scratch.temps[0])
+		v, _ := EvalOp(in.Op, in.Aux, in.Mask, vals[0], vals[1], vals[2])
+		immOf[RefIdx(in.Dst)] = intern(v)
 		in.Op = OpNop
 		changed = true
 	}

@@ -58,13 +58,8 @@ type Snapshot struct {
 	WideMems [][]bitvec.Vec
 }
 
-// Snapshot captures the engine's complete state. Only engines over the
-// linked execution form snapshot (the format IS the linked layout); the
-// reference interpreter is for cross-checking, not production sessions.
-func (e *Engine) Snapshot() (*Snapshot, error) {
-	if e.lp == nil {
-		return nil, fmt.Errorf("sim: snapshot requires a linked engine (NewEngine, not NewInterpEngine)")
-	}
+// Snapshot captures the engine's complete state.
+func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version:     SnapshotVersion,
 		Fingerprint: e.prog.Fingerprint(),
@@ -77,7 +72,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		s.Wide[i] = v.Clone()
 	}
 	s.Mems, s.WideMems = cloneMems(e.gs)
-	return s, nil
+	return s
 }
 
 // RestoreSnapshot overwrites the engine's state with the snapshot's. The
@@ -87,9 +82,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // the linked interpreter restores onto a native-kernel engine and vice
 // versa.
 func (e *Engine) RestoreSnapshot(s *Snapshot) error {
-	if e.lp == nil {
-		return fmt.Errorf("sim: restore requires a linked engine (NewEngine, not NewInterpEngine)")
-	}
 	if err := s.check(e.prog, e.lp); err != nil {
 		return err
 	}
@@ -235,10 +227,14 @@ func restoreMems(gs *globalState, s *Snapshot) {
 	}
 }
 
-// check validates the snapshot against the restoring program's layout: the
-// version gate first, then fingerprint identity, then every structural
-// dimension. A mismatch anywhere means the snapshot was taken under a
-// different program or format and restoring it would be silently wrong.
+// check validates the snapshot against the restoring program before any of
+// it reaches an engine: the version gate first, then fingerprint identity,
+// then every structural dimension, then the contents the program itself
+// fixes. Snapshots arrive from clients and peers, and the fingerprint is a
+// number anyone can copy, so the contents are checked too: the immediate
+// region must equal the program's (the executors read constants from it),
+// and every input, register, wide value and memory element must fit its
+// width (fusion's proofs assume those words carry no bits above it).
 func (s *Snapshot) check(p *Program, lp *LinkedProgram) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("sim: snapshot layout version %d, engine speaks %d", s.Version, SnapshotVersion)
@@ -257,16 +253,59 @@ func (s *Snapshot) check(p *Program, lp *LinkedProgram) error {
 		return fmt.Errorf("sim: snapshot has %d/%d memories, program has %d",
 			len(s.Mems), len(s.WideMems), len(p.Mems))
 	}
+	for i, v := range p.Imms {
+		if s.Words[lp.ImmOff+i] != v {
+			return fmt.Errorf("sim: snapshot immediate %d is %#x, program has %#x", i, s.Words[lp.ImmOff+i], v)
+		}
+	}
+	for _, in := range p.Inputs {
+		if !in.Wide && s.Words[in.Slot]&^maskOf(in.Width) != 0 {
+			return fmt.Errorf("sim: snapshot input %q value %#x exceeds %d bits", in.Name, s.Words[in.Slot], in.Width)
+		}
+	}
+	for _, r := range p.Regs {
+		if !r.Wide && s.Words[r.Slot]&^maskOf(r.Width) != 0 {
+			return fmt.Errorf("sim: snapshot register %q value %#x exceeds %d bits", r.Name, s.Words[r.Slot], r.Width)
+		}
+	}
+	for i, w := range p.WideWidths {
+		if !vecFits(s.Wide[i], w) {
+			return fmt.Errorf("sim: snapshot wide slot %d is not a %d-bit value (width %d, %d words)",
+				i, w, s.Wide[i].Width, len(s.Wide[i].Words))
+		}
+	}
 	for mi, m := range p.Mems {
 		if m.Wide {
 			if len(s.WideMems[mi]) != m.Depth {
 				return fmt.Errorf("sim: snapshot mem %q depth %d, program wants %d", m.Name, len(s.WideMems[mi]), m.Depth)
 			}
-		} else if len(s.Mems[mi]) != m.Depth {
+			for a, v := range s.WideMems[mi] {
+				if !vecFits(v, m.Width) {
+					return fmt.Errorf("sim: snapshot mem %q[%d] is not a %d-bit value", m.Name, a, m.Width)
+				}
+			}
+			continue
+		}
+		if len(s.Mems[mi]) != m.Depth {
 			return fmt.Errorf("sim: snapshot mem %q depth %d, program wants %d", m.Name, len(s.Mems[mi]), m.Depth)
+		}
+		for a, v := range s.Mems[mi] {
+			if v&^maskOf(m.Width) != 0 {
+				return fmt.Errorf("sim: snapshot mem %q[%d] value %#x exceeds %d bits", m.Name, a, v, m.Width)
+			}
 		}
 	}
 	return nil
+}
+
+// vecFits reports whether v is a well-formed w-bit value: width w, exactly
+// the words w needs, and no bit set above w.
+func vecFits(v bitvec.Vec, w int) bool {
+	n := bitvec.WordsFor(w)
+	if v.Width != w || len(v.Words) != n {
+		return false
+	}
+	return n == 0 || w%64 == 0 || v.Words[n-1]>>(w%64) == 0
 }
 
 // Encode serializes the snapshot to the deterministic binary wire format:
@@ -372,6 +411,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 				for a := range s.WideMems[mi] {
 					s.WideMems[mi][a] = d.vec()
 				}
+			case 0:
+			default:
+				d.err = fmt.Errorf("sim: snapshot memory %d has unknown kind tag", mi)
 			}
 		}
 	}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -23,7 +26,7 @@ func randomInputs(p *Program, rng *rand.Rand) map[string]bitvec.Vec {
 	return vals
 }
 
-func pokeAll(t *testing.T, e *Engine, vals map[string]bitvec.Vec) {
+func pokeAll(t testing.TB, e *Engine, vals map[string]bitvec.Vec) {
 	t.Helper()
 	for name, v := range vals {
 		if err := e.PokeInputVec(name, v); err != nil {
@@ -92,10 +95,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					pokeAll(t, control, randomInputs(prog, rng))
 					control.Run(1)
 				}
-				snap, err := control.Snapshot()
-				if err != nil {
-					t.Fatalf("snapshot: %v", err)
-				}
+				snap := control.Snapshot()
 				blob := snap.Encode()
 				snap2, err := DecodeSnapshot(blob)
 				if err != nil {
@@ -218,7 +218,7 @@ func TestSnapshotBatchLane(t *testing.T) {
 }
 
 // TestSnapshotGuards: every guard fires — wrong version, wrong program,
-// truncated blob, corrupted byte, trailing garbage, interp engines.
+// truncated blob, corrupted byte, trailing garbage.
 func TestSnapshotGuards(t *testing.T) {
 	g := randomCircuit(t, 88, 60)
 	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
@@ -227,10 +227,7 @@ func TestSnapshotGuards(t *testing.T) {
 	}
 	e := NewEngine(prog)
 	e.Run(3)
-	snap, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := e.Snapshot()
 
 	// Version gate.
 	bad := *snap
@@ -266,14 +263,6 @@ func TestSnapshotGuards(t *testing.T) {
 		t.Fatal("decode accepted trailing garbage")
 	}
 
-	// Interp engines neither snapshot nor restore.
-	ie := NewInterpEngine(prog)
-	if _, err := ie.Snapshot(); err == nil {
-		t.Fatal("interp engine produced a snapshot")
-	}
-	if err := ie.RestoreSnapshot(snap); err == nil {
-		t.Fatal("interp engine accepted a restore")
-	}
 }
 
 // TestEncodeProgramRoundTrip: a compiled program survives the peer-fetch
@@ -335,4 +324,183 @@ func TestEncodeProgramRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// forgeSrc has one of each kind of restorable state: a narrow input and
+// register, a wide input and register, a narrow and a wide memory, and an
+// immediate (the 5) the next-state logic reads.
+const forgeSrc = `
+circuit F {
+  module F {
+    input a  : UInt<8>
+    input w  : UInt<70>
+    input en : UInt<1>
+    output o : UInt<8>
+    output ow : UInt<70>
+    output om : UInt<16>
+    output owm : UInt<70>
+    reg r : UInt<8> init 0
+    reg rw : UInt<70> init 0
+    mem m : UInt<16>[4]
+    mem mw : UInt<70>[4]
+    r <= tail(add(a, UInt<8>(5)), 1)
+    rw <= xor(rw, w)
+    write(m, bits(a, 1, 0), cat(a, a), en)
+    write(mw, bits(a, 1, 0), w, en)
+    o <= r
+    ow <= rw
+    om <= read(m, bits(a, 1, 0))
+    owm <= read(mw, bits(a, 1, 0))
+  }
+}
+`
+
+// TestSnapshotRejectsForgedState: a snapshot whose fingerprint and
+// dimensions match but whose contents no run of the program can produce
+// is refused by both restore paths — a rewritten immediate, a narrow input
+// or register word above its width, a malformed wide value, and a memory
+// element above its width. Each forgery goes through the wire encoding
+// first, as client bytes do; the decoder accepts it, so the restore check
+// is what stands between it and the executors.
+func TestSnapshotRejectsForgedState(t *testing.T) {
+	prog := compileSrc(t, forgeSrc)
+	lp := prog.Linked()
+	e := NewEngine(prog)
+	for cyc, v := range []uint64{1, 2, 3, 0x81} {
+		pokeAll(t, e, map[string]bitvec.Vec{
+			"a": bitvec.FromUint64(8, v), "en": bitvec.FromUint64(1, 1),
+			"w": bitvec.ZeroExtend(70, bitvec.Vec{Width: 128, Words: []uint64{v, 0x3f}}),
+		})
+		e.Run(1)
+		if cyc == 1 { // o shows r, which latched a+5 from the previous cycle
+			if got, _ := e.PeekOutput("o"); got != 6 {
+				t.Fatalf("o = %d one cycle after a=1, want 6", got)
+			}
+		}
+	}
+	snap := e.Snapshot()
+
+	imm := -1
+	for i, v := range prog.Imms {
+		if v == 5 {
+			imm = i
+		}
+	}
+	if imm < 0 {
+		t.Fatalf("program has no immediate 5: %v", prog.Imms)
+	}
+	slot := func(name string) int {
+		if ps, ok := prog.Input(name); ok {
+			return int(ps.Slot)
+		}
+		rs, ok := prog.Reg(name)
+		if !ok {
+			t.Fatalf("no input or register %q", name)
+		}
+		return int(rs.Slot)
+	}
+	memIdx := func(name string) int {
+		for i, m := range prog.Mems {
+			if m.Name == name {
+				return i
+			}
+		}
+		t.Fatalf("no memory %q", name)
+		return -1
+	}
+	m, mw := memIdx("m"), memIdx("mw")
+	if prog.Mems[m].Wide || !prog.Mems[mw].Wide {
+		t.Fatalf("memory kinds: m wide=%v, mw wide=%v", prog.Mems[m].Wide, prog.Mems[mw].Wide)
+	}
+
+	cases := []struct {
+		name   string
+		forge  func(s *Snapshot)
+		reason string
+	}{
+		{"immediate rewritten", func(s *Snapshot) { s.Words[lp.ImmOff+imm] = 100 }, "immediate"},
+		{"narrow register above width", func(s *Snapshot) { s.Words[slot("r")] = 0xffff }, "register"},
+		{"narrow input above width", func(s *Snapshot) { s.Words[slot("a")] = 0x100 }, "input"},
+		{"wide slot with no words", func(s *Snapshot) { s.Wide[slot("rw")] = bitvec.Vec{Width: 70} }, "wide slot"},
+		{"wide slot with an extra word", func(s *Snapshot) {
+			s.Wide[slot("rw")] = bitvec.Vec{Width: 70, Words: make([]uint64, 3)}
+		}, "wide slot"},
+		{"wide slot of another width", func(s *Snapshot) { s.Wide[slot("w")] = bitvec.New(71) }, "wide slot"},
+		{"wide slot bits above width", func(s *Snapshot) { s.Wide[slot("rw")].Words[1] |= 1 << 6 }, "wide slot"},
+		{"narrow memory element above width", func(s *Snapshot) { s.Mems[m][1] = 0x10000 }, "mem"},
+		{"wide memory element above width", func(s *Snapshot) { s.WideMems[mw][1].Words[1] |= 1 << 63 }, "mem"},
+		{"wide memory element of another width", func(s *Snapshot) { s.WideMems[mw][2] = bitvec.New(64) }, "mem"},
+	}
+	decode := func(s *Snapshot) *Snapshot {
+		t.Helper()
+		d, err := DecodeSnapshot(s.Encode())
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return d
+	}
+	restoreBoth := func(s *Snapshot) (engErr, laneErr error) {
+		t.Helper()
+		be, err := NewBatchEngine(prog, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewEngine(prog).RestoreSnapshot(s), be.RestoreLane(1, s)
+	}
+
+	// The genuine snapshot restores on both paths and resumes identically.
+	if engErr, laneErr := restoreBoth(decode(snap)); engErr != nil || laneErr != nil {
+		t.Fatalf("genuine snapshot refused: engine %v, lane %v", engErr, laneErr)
+	}
+	for _, tc := range cases {
+		forged := decode(snap)
+		tc.forge(forged)
+		forged = decode(forged)
+		engErr, laneErr := restoreBoth(forged)
+		for path, err := range map[string]error{"RestoreSnapshot": engErr, "RestoreLane": laneErr} {
+			if err == nil {
+				t.Errorf("%s: %s accepted a forged snapshot", tc.name, path)
+			} else if !strings.Contains(err.Error(), tc.reason) {
+				t.Errorf("%s: %s refused for the wrong reason: %v", tc.name, path, err)
+			}
+		}
+	}
+}
+
+// FuzzDecodeSnapshot feeds mutated snapshot blobs through the whole restore
+// path: decode, restore onto a fresh engine of the seed program, run one
+// cycle. The fuzzer mutates the body and the harness appends a fresh
+// checksum, so mutations reach the parser and the restore check instead of
+// dying at the checksum. Nothing may panic, an accepted blob must re-encode
+// to the same bytes, and a restored engine must snapshot back to them.
+func FuzzDecodeSnapshot(f *testing.F) {
+	prog := compileSrc(f, forgeSrc)
+	e := NewEngine(prog)
+	for cyc := 0; cyc < 4; cyc++ {
+		blob := e.Snapshot().Encode()
+		f.Add(blob[:len(blob)-8])
+		pokeAll(f, e, map[string]bitvec.Vec{
+			"a": bitvec.FromUint64(8, uint64(cyc*37+1)), "en": bitvec.FromUint64(1, 1),
+			"w": bitvec.Vec{Width: 70, Words: []uint64{^uint64(cyc), 0x2a}},
+		})
+		e.Run(1)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := binary.LittleEndian.AppendUint64(append([]byte(nil), body...), checksum(body))
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if got := s.Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("decoded snapshot re-encodes differently:\n got %x\nwant %x", got, data)
+		}
+		r := NewEngine(prog)
+		if err := r.RestoreSnapshot(s); err != nil {
+			return
+		}
+		if got := r.Snapshot().Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("restored engine snapshots differently:\n got %x\nwant %x", got, data)
+		}
+		r.Run(1)
+	})
 }

@@ -64,7 +64,7 @@ func NewTaskEngine(p *Program, plan TaskPlan) (*TaskEngine, error) {
 	e := &TaskEngine{prog: p, plan: plan, lp: lp, gang: newGang(p.NumThreads)}
 	e.state = make([]uint64, lp.StateWords)
 	copy(e.state[lp.ImmOff:], p.Imms)
-	e.gs = newGlobalStateWords(p, e.state[:p.GlobalWords:p.GlobalWords])
+	e.gs = newGlobalState(p, e.state[:p.GlobalWords:p.GlobalWords])
 	for t := range p.Threads {
 		th := &p.Threads[t]
 		lt := &lp.Threads[t]

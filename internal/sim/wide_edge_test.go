@@ -6,12 +6,12 @@ import (
 	"repro/internal/bitvec"
 )
 
-// wideEdgeEngines compiles src and returns both execution modes, so each
-// edge case is asserted on the interpreter and the linked fast path alike.
-func wideEdgeEngines(t *testing.T, src string) (interp, linked *Engine) {
+// wideEdgeEngines compiles src and returns the unfused and the fused
+// linked engine, so each edge case is asserted on both streams alike.
+func wideEdgeEngines(t *testing.T, src string) (unfused, linked *Engine) {
 	t.Helper()
 	prog := compileSrc(t, src)
-	return NewInterpEngine(prog), NewEngine(prog)
+	return NewUnfusedEngine(prog), NewEngine(prog)
 }
 
 // A narrow memory addressed by a wide value goes through evalWide's
@@ -34,11 +34,11 @@ circuit W {
   }
 }
 `
-	interp, linked := wideEdgeEngines(t, src)
+	unfused, linked := wideEdgeEngines(t, src)
 	addr := func(v uint64) bitvec.Vec { return bitvec.FromUint64(70, v) }
 	step := func(a bitvec.Vec, d, en uint64) {
 		t.Helper()
-		for _, e := range []*Engine{interp, linked} {
+		for _, e := range []*Engine{unfused, linked} {
 			if err := e.PokeInputVec("a", a); err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,7 @@ circuit W {
 	}
 	check := func(want uint64, what string) {
 		t.Helper()
-		iv, err := interp.PeekOutput("o")
+		uv, err := unfused.PeekOutput("o")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +61,8 @@ circuit W {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if iv != want || lv != want {
-			t.Fatalf("%s: interp=%#x linked=%#x, want %#x", what, iv, lv, want)
+		if uv != want || lv != want {
+			t.Fatalf("%s: unfused=%#x linked=%#x, want %#x", what, uv, lv, want)
 		}
 	}
 
@@ -85,8 +85,8 @@ circuit W {
 }
 
 // OpMemRd past the end of a narrow memory returns zero on both the
-// interpreter (evalBlock) and the linked stream (evalLinked), and the
-// matching OpMemWr is dropped at commit.
+// unfused and the fused linked stream, and the matching OpMemWr is dropped
+// at commit.
 func TestNarrowMemOutOfRangeBothModes(t *testing.T) {
 	src := `
 circuit N {
@@ -102,10 +102,10 @@ circuit N {
   }
 }
 `
-	interp, linked := wideEdgeEngines(t, src)
+	unfused, linked := wideEdgeEngines(t, src)
 	step := func(a, d, en uint64) {
 		t.Helper()
-		for _, e := range []*Engine{interp, linked} {
+		for _, e := range []*Engine{unfused, linked} {
 			for name, v := range map[string]uint64{"a": a, "d": d, "en": en} {
 				if err := e.PokeInput(name, v); err != nil {
 					t.Fatal(err)
@@ -116,10 +116,10 @@ circuit N {
 	}
 	check := func(want uint64, what string) {
 		t.Helper()
-		iv, _ := interp.PeekOutput("o")
+		uv, _ := unfused.PeekOutput("o")
 		lv, _ := linked.PeekOutput("o")
-		if iv != want || lv != want {
-			t.Fatalf("%s: interp=%#x linked=%#x, want %#x", what, iv, lv, want)
+		if uv != want || lv != want {
+			t.Fatalf("%s: unfused=%#x linked=%#x, want %#x", what, uv, lv, want)
 		}
 	}
 

@@ -9,25 +9,27 @@ import (
 )
 
 // probe is the decision procedure for slot pairs the hash-cons proof could
-// not settle: it runs the O0 reference through the closure interpreter and
-// the optimized program through the linked executor — the real engines,
-// end to end, so there is no third semantics to drift — over seeded
-// boundary-pattern stimulus, comparing every register, output, and memory
-// each cycle. A concrete mismatch refutes equivalence with a witness; a
-// clean sweep over all rounds is strong evidence the residual mismatches
-// are normalization incompleteness, not miscompiles.
+// not settle: it runs the O0 reference on the unfused linked stream and the
+// optimized program on the fused one — the real executor, end to end, so
+// there is no third semantics to drift, and a fusion bug can never sit on
+// both sides of the comparison — over seeded boundary-pattern stimulus,
+// comparing every register, output, and memory each cycle. A concrete
+// mismatch refutes equivalence with a witness; a clean sweep over all
+// rounds is strong evidence the residual mismatches are normalization
+// incompleteness, not miscompiles. Both engines are built once and reset
+// between rounds.
 func probe(ref, opt *sim.Program, o Options) (witness string, diverged bool) {
+	e0 := sim.NewUnfusedEngine(ref)
+	e2 := sim.NewEngine(opt)
 	for round := 0; round < o.Rounds; round++ {
-		if w, d := probeRound(ref, opt, o, round); d {
+		if w, d := probeRound(e0, e2, opt, o, round); d {
 			return w, true
 		}
 	}
 	return "", false
 }
 
-func probeRound(ref, opt *sim.Program, o Options, round int) (string, bool) {
-	e0 := sim.NewInterpEngine(ref)
-	e2 := sim.NewEngine(opt)
+func probeRound(e0, e2 *sim.Engine, opt *sim.Program, o Options, round int) (string, bool) {
 	e0.Reset()
 	e2.Reset()
 	rng := rand.New(rand.NewSource(o.Seed + int64(round)*0x9e3779b9))

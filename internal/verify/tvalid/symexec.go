@@ -31,7 +31,8 @@ type memWrite struct {
 }
 
 // execO0 symbolically evaluates one thread of the unoptimized instruction
-// stream, mirroring evalBlock (exec.go) term-for-term.
+// stream, mirroring the unfused linked stream (evalLinked's base opcodes,
+// linkexec.go) term-for-term.
 func execO0(b *builder, p *sim.Program, t int) *threadState {
 	th := &p.Threads[t]
 	temps := make([]*term, th.NumTemps)

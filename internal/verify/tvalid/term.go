@@ -306,7 +306,7 @@ func unmaskedBound(op sim.OpCode, aux uint32, args []*term) uint64 {
 // app builds the canonical term for one narrow opcode application,
 // mirroring every rewrite the optimizer and fusion passes perform:
 //
-//   - constant folding through sim.EvalOp (the real interpreter — the
+//   - constant folding through sim.EvalOp (the real linked executor — the
 //     validator owns no opcode semantics of its own)
 //   - copy-chain collapse and truncation fusion (OpCopy absorbs into any
 //     producer whose executor masks its result)

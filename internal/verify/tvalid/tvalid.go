@@ -4,7 +4,7 @@
 //
 // Both instruction streams are symbolically evaluated per thread over the
 // same free register/input variables into hash-consed term DAGs. A
-// normalization engine (constant folding through the real interpreter,
+// normalization engine (constant folding through the real executor,
 // commutative operand ordering, mask and sign-extension idempotence, mux
 // absorption, copy-chain collapsing) canonicalizes terms so that every
 // rewrite the optimizer and fusion passes may legally perform maps both
